@@ -1,12 +1,13 @@
 // E13 — sharded parallel engine scaling (DESIGN.md §8).
 //
 // Measures end-to-end tuples/second of the Example-1 dedup pipeline on a
-// window-dense workload under (a) the single-mutex ConcurrentEngine
-// baseline and (b) ShardedEngine at 1/2/4/8 shards. Both are fed the
-// identical timestamp-ordered trace from one producer: with racing
-// producers the engines' forward-clamping rewrites timestamps in
-// scheduler-dependent ways, so the two configurations would process
-// different effective histories and the comparison would be meaningless.
+// window-dense workload under ShardedEngine at 1/2/4/8 shards; the
+// 1-shard run (one engine behind one queue) is the baseline. Every
+// configuration is fed the identical timestamp-ordered trace from one
+// producer: with racing producers the shards' forward-clamping rewrites
+// timestamps in scheduler-dependent ways, so the configurations would
+// process different effective histories and the comparison would be
+// meaningless.
 // Partitioning wins twice: shards run in parallel, and each shard's
 // NOT-EXISTS window scan covers only its partition's slice of the
 // 1-second window (the scan is O(window) per tuple, so the speedup
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/concurrent_engine.h"
 #include "core/sharded_engine.h"
 
 namespace eslev {
@@ -55,36 +55,11 @@ rfid::Workload DenseDedupWorkload() {
 // One producer, timestamp order: every configuration sees the same
 // effective history (no forward-clamping kicks in), so throughput
 // differences are scan + scheduling cost, not workload drift.
-template <typename EngineT>
-void FeedTrace(EngineT* engine, const rfid::Workload& workload) {
+void FeedTrace(ShardedEngine* engine, const rfid::Workload& workload) {
   for (const auto& e : workload.events) {
     bench::CheckOk(engine->PushTuple(e.stream, e.tuple), "push");
   }
 }
-
-void BM_E1DedupConcurrentEngineBaseline(benchmark::State& state) {
-  auto workload = DenseDedupWorkload();
-  size_t cleaned = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    ConcurrentEngine engine;
-    bench::CheckOk(engine.ExecuteScript(kSetup), "setup");
-    cleaned = 0;
-    bench::CheckOk(
-        engine.Subscribe("cleaned_readings", [&](const Tuple&) { ++cleaned; }),
-        "subscribe");
-    state.ResumeTiming();
-    FeedTrace(&engine, workload);
-  }
-  if (cleaned == 0 || cleaned > workload.events.size()) {
-    state.SkipWithError("implausible dedup output");
-    return;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          workload.events.size());
-  state.counters["cleaned"] = static_cast<double>(cleaned);
-}
-BENCHMARK(BM_E1DedupConcurrentEngineBaseline)->UseRealTime();
 
 void BM_E1DedupSharded(benchmark::State& state) {
   auto workload = DenseDedupWorkload();

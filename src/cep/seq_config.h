@@ -4,12 +4,14 @@
 #ifndef ESLEV_CEP_SEQ_CONFIG_H_
 #define ESLEV_CEP_SEQ_CONFIG_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cep/pairing_mode.h"
+#include "common/status.h"
 #include "expr/bound_expr.h"
 #include "sql/ast.h"
 #include "types/schema.h"
@@ -99,6 +101,19 @@ struct ExceptionSeqConfig {
   BinaryOp level_op = BinaryOp::kLt;
   int64_t level_rhs = 0;  // set to n for EXCEPTION_SEQ
 };
+
+/// \brief First byte of every SEQ / EXCEPTION_SEQ state blob. Tag 1 was
+/// written by the retired compiled-NFA matcher (DESIGN.md §14); restore
+/// rejects it, and any other tag, before reading anything else.
+inline constexpr uint8_t kSeqStateTag = 0;
+
+inline Status CheckSeqStateTag(uint8_t tag, const char* operator_name) {
+  if (tag == kSeqStateTag) return Status::OK();
+  return Status::IoError(
+      std::string(operator_name) + " checkpoint: unsupported state tag " +
+      std::to_string(static_cast<int>(tag)) +
+      (tag == 1 ? " (written by the retired NFA matcher)" : ""));
+}
 
 }  // namespace eslev
 

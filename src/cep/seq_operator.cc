@@ -167,13 +167,9 @@ Result<bool> SeqOperator::PairwiseOkWithChosen(
   return true;
 }
 
-bool SeqOperator::WindowOk(size_t pos, const Entry& entry,
-                           const std::vector<const Entry*>& chosen) const {
-  if (!config_.window) return true;
+bool SeqOperator::WithinWindow(size_t pos, const Entry& entry,
+                               const Entry& anchor) const {
   const SeqWindow& w = *config_.window;
-  const Entry* anchor =
-      pos == w.anchor ? &entry : chosen[w.anchor];
-  if (anchor == nullptr) return true;  // verified again at emission
   const bool preceding_side =
       w.direction == WindowDirection::kPreceding ||
       w.direction == WindowDirection::kPrecedingAndFollowing;
@@ -181,12 +177,30 @@ bool SeqOperator::WindowOk(size_t pos, const Entry& entry,
       w.direction == WindowDirection::kFollowing ||
       w.direction == WindowDirection::kPrecedingAndFollowing;
   if (preceding_side && pos <= w.anchor &&
-      entry.first_ts() < anchor->last_ts() - w.length) {
+      entry.first_ts() < anchor.last_ts() - w.length) {
     return false;
   }
   if (following_side && pos >= w.anchor &&
-      entry.last_ts() > anchor->first_ts() + w.length) {
+      entry.last_ts() > anchor.first_ts() + w.length) {
     return false;
+  }
+  return true;
+}
+
+bool SeqOperator::WindowOk(size_t pos, const Entry& entry,
+                           const std::vector<const Entry*>& chosen) const {
+  if (!config_.window) return true;
+  const size_t anchor = config_.window->anchor;
+  if (pos != anchor) {
+    // Checked again when the anchor is bound.
+    return chosen[anchor] == nullptr ||
+           WithinWindow(pos, entry, *chosen[anchor]);
+  }
+  // Binding the anchor: every position bound before it is checked now,
+  // so a search never commits to a combination the window rules out.
+  for (size_t p = 0; p < n_; ++p) {
+    const Entry* e = p == pos ? &entry : chosen[p];
+    if (e != nullptr && !WithinWindow(p, *e, entry)) return false;
   }
   return true;
 }
@@ -599,11 +613,14 @@ Status SeqOperator::HandleConsecutive(size_t pos, const Tuple& tuple,
 // ---------------------------------------------------------------------------
 
 Status SeqOperator::EmitMatch(const std::vector<const Entry*>& chosen) {
-  // Full window verification (prunes during search may have lacked the
-  // anchor binding). Negated positions carry no entry.
-  for (size_t pos = 0; pos < n_; ++pos) {
-    if (chosen[pos] == nullptr) continue;
-    if (!WindowOk(pos, *chosen[pos], chosen)) return Status::OK();
+  // Full window verification (a CONSECUTIVE star group may have grown
+  // since it was checked): checking the anchor covers every position.
+  if (config_.window) {
+    const size_t anchor = config_.window->anchor;
+    if (chosen[anchor] != nullptr &&
+        !WindowOk(anchor, *chosen[anchor], chosen)) {
+      return Status::OK();
+    }
   }
   if (!NegationOk(chosen)) return Status::OK();
   scratch_.Clear();
@@ -671,6 +688,12 @@ void SeqOperator::PurgeRecent() {
   std::vector<std::vector<size_t>> keep(n_);
   // Bounds for position i come from retained entries at position i+1.
   std::vector<const Entry*> bounds;  // entries at pos+1 to stay matchable
+  // An open trailing star group triggers again on every extension, so
+  // what it pairs with must survive too.
+  if (last_is_star_ && !history_[n_ - 1].empty() &&
+      history_[n_ - 1].back().open) {
+    bounds.push_back(&history_[n_ - 1].back());
+  }
   for (int pos = static_cast<int>(n_) - 2; pos >= 0; --pos) {
     auto& dq = history_[pos];
     if (config_.positions[pos].negated) {
@@ -725,7 +748,7 @@ Status SeqOperator::ProcessHeartbeat(Timestamp now) {
 }
 
 Status SeqOperator::SaveState(BinaryEncoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(SeqBackend::kHistory));
+  enc->PutU8(kSeqStateTag);
   const auto put_entry = [enc](const Entry& e) {
     enc->PutU32(static_cast<uint32_t>(e.tuples.size()));
     for (const Tuple& t : e.tuples) enc->PutTuple(t);
@@ -749,7 +772,7 @@ Status SeqOperator::SaveState(BinaryEncoder* enc) const {
 
 Status SeqOperator::RestoreState(BinaryDecoder* dec) {
   ESLEV_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
-  ESLEV_RETURN_NOT_OK(CheckSeqCheckpointTag(tag, SeqBackend::kHistory, "SEQ"));
+  ESLEV_RETURN_NOT_OK(CheckSeqStateTag(tag, "SEQ"));
   const auto get_entry = [dec](Entry* e) -> Status {
     ESLEV_ASSIGN_OR_RETURN(uint32_t ntuples, dec->GetU32());
     if (ntuples == 0) {

@@ -35,18 +35,19 @@
 #include <vector>
 
 #include "cep/seq_config.h"
-#include "cep/seq_operator_base.h"
+#include "stream/operator.h"
 
 namespace eslev {
 
-class SeqOperator : public SeqOperatorBase {
+class SeqOperator : public Operator {
  public:
   /// \brief Validates the configuration (e.g. a usable window anchor,
   /// at most one per-tuple star) and builds the operator.
   static Result<std::unique_ptr<SeqOperator>> Make(SeqOperatorConfig config);
 
-  SeqBackend backend() const override { return SeqBackend::kHistory; }
-  const SeqOperatorConfig& config() const override { return config_; }
+  /// \brief The validated configuration the operator runs — positions,
+  /// pairing mode, window. Read by the cost model (DESIGN.md §16).
+  const SeqOperatorConfig& config() const { return config_; }
 
   /// \brief Port == position index.
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
@@ -59,19 +60,19 @@ class SeqOperator : public SeqOperatorBase {
 
   /// \brief Total tuples retained across all positions — the state-size
   /// metric behind the paper's purging claims (bench E6).
-  size_t history_size() const override;
+  size_t history_size() const;
 
-  uint64_t matches_emitted() const override { return matches_emitted_; }
+  uint64_t matches_emitted() const { return matches_emitted_; }
 
   /// \brief Tuples ever admitted to the joint history (final-position
   /// triggers are never stored and do not count).
-  uint64_t tuples_stored() const override { return tuples_stored_; }
+  uint64_t tuples_stored() const { return tuples_stored_; }
   /// \brief Tuples removed from the history by any purge path: window
   /// eviction, RECENT pruning, CHRONICLE consumption, or CONSECUTIVE run
   /// resets. Invariant: tuples_stored() - tuples_purged() == history_size().
-  uint64_t tuples_purged() const override { return tuples_purged_; }
+  uint64_t tuples_purged() const { return tuples_purged_; }
   /// \brief Tuples in still-open (accumulating) star groups.
-  size_t open_star_length() const override;
+  size_t open_star_length() const;
 
   void AppendStats(OperatorStatList* out) const override;
 
@@ -112,6 +113,11 @@ class SeqOperator : public SeqOperatorBase {
       size_t pos, const Entry& candidate,
       const std::vector<const Entry*>& chosen);
 
+  // The window rule between one entry at `pos` and the anchor entry.
+  bool WithinWindow(size_t pos, const Entry& entry,
+                    const Entry& anchor) const;
+  // The window rules `entry` at `pos` can be checked against given the
+  // positions bound so far; binding the anchor checks them all.
   bool WindowOk(size_t pos, const Entry& entry,
                 const std::vector<const Entry*>& chosen) const;
 

@@ -108,8 +108,8 @@ void ShardedEngine::WorkerLoop(Shard* shard) {
     for (Item& item : batch) {
       switch (item.kind) {
         case Item::Kind::kTuple: {
-          // Clamp forward to the shard clock (ConcurrentEngine's rule):
-          // queue order is the shard's serialization order.
+          // Clamp forward to the shard clock: queue order is the
+          // shard's serialization order.
           Status st;
           if (item.tuple.ts() < engine.current_time()) {
             Tuple clamped = item.tuple;
@@ -741,6 +741,13 @@ Result<std::vector<Timestamp>> ShardedEngine::shard_clocks() {
 
 Result<MetricsSnapshot> ShardedEngine::Metrics() {
   MetricsSnapshot snap;
+  // Queue depths first: the RunOnShard commands below wait behind each
+  // shard's backlog, so sampling after them would always read it drained.
+  std::vector<int64_t> queue_depths;
+  queue_depths.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    queue_depths.push_back(static_cast<int64_t>(shard->queue.ApproxSize()));
+  }
   // Per-shard engine metrics, read on each worker thread (serialized
   // against that shard's processing). Dead shards (killed worker awaiting
   // promotion) are skipped rather than failing the whole snapshot.
@@ -756,8 +763,7 @@ Result<MetricsSnapshot> ShardedEngine::Metrics() {
   // Sharded-runtime gauges.
   for (size_t i = 0; i < shards_.size(); ++i) {
     const std::string prefix = "sharded.shard" + std::to_string(i) + ".";
-    snap.gauges[prefix + "queue_depth"] =
-        static_cast<int64_t>(shards_[i]->queue.ApproxSize());
+    snap.gauges[prefix + "queue_depth"] = queue_depths[i];
     snap.counters[prefix + "tuples_routed"] =
         shards_[i]->tuples_routed.load(std::memory_order_relaxed);
     snap.gauges[prefix + "alive"] =

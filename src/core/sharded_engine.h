@@ -15,9 +15,9 @@
 // heartbeats fan out to ALL shards once the minimum producer clock
 // moves, so active expiration (window-expiry-triggered EXCEPTION_SEQ
 // violations) fires even on shards receiving no tuples. Within a shard,
-// tuples are clamped forward to the shard clock exactly as
-// ConcurrentEngine does, keeping each shard's joint history totally
-// ordered no matter how producers interleave.
+// tuples older than the shard clock are clamped forward to it, keeping
+// each shard's joint history totally ordered no matter how producers
+// interleave.
 //
 // Emission: shard-side subscription callbacks buffer into per-shard
 // outboxes (per-shard order preserved); DrainOutputs() merges the
@@ -404,6 +404,9 @@ class ShardedEngine {
   /// around the same internals this class uses; it is a coordinator-side
   /// extension rather than an external client.
   friend class ReplicatedShardedEngine;
+  /// Tests post worker commands without waiting on them (holding a
+  /// worker busy while its queue fills).
+  friend class ShardedEngineTestPeer;
 };
 
 }  // namespace eslev

@@ -131,6 +131,17 @@ Status BinaryDecoder::Need(size_t n) const {
   return Status::OK();
 }
 
+Status BinaryDecoder::CheckCount(uint64_t count, size_t min_element_bytes,
+                                 const char* what) const {
+  if (count > remaining() / min_element_bytes) {
+    return Status::IoError(std::string(what) + " count " +
+                           std::to_string(count) + " exceeds the " +
+                           std::to_string(remaining()) +
+                           " bytes left to decode");
+  }
+  return Status::OK();
+}
+
 Result<uint8_t> BinaryDecoder::GetU8() {
   ESLEV_RETURN_NOT_OK(Need(1));
   return static_cast<uint8_t>(data_[pos_++]);
@@ -227,6 +238,8 @@ Result<SchemaPtr> BinaryDecoder::GetSchema() {
     }
     case kSchemaInline: {
       ESLEV_ASSIGN_OR_RETURN(uint32_t nfields, GetU32());
+      // A field is at least a length-prefixed name plus a type byte.
+      ESLEV_RETURN_NOT_OK(CheckCount(nfields, 5, "schema field"));
       std::vector<Field> fields;
       fields.reserve(nfields);
       for (uint32_t i = 0; i < nfields; ++i) {
@@ -252,6 +265,7 @@ Result<Tuple> BinaryDecoder::GetTuple() {
   ESLEV_ASSIGN_OR_RETURN(SchemaPtr schema, GetSchema());
   ESLEV_ASSIGN_OR_RETURN(int64_t ts, GetI64());
   ESLEV_ASSIGN_OR_RETURN(uint32_t arity, GetU32());
+  ESLEV_RETURN_NOT_OK(CheckCount(arity, 1, "tuple value"));  // a type tag
   std::vector<Value> values;
   values.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {

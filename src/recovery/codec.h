@@ -94,6 +94,13 @@ class BinaryDecoder {
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 
+  /// \brief Bounded-allocation rule for decoded counts: `count` elements
+  /// of at least `min_element_bytes` each must fit in the remaining
+  /// bytes. Call before reserving for an untrusted count, so a corrupt
+  /// count is an IoError rather than an out-of-memory abort.
+  Status CheckCount(uint64_t count, size_t min_element_bytes,
+                    const char* what) const;
+
  private:
   Status Need(size_t n) const;
 

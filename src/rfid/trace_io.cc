@@ -226,9 +226,12 @@ Result<Workload> LoadTraceBinary(
   }
   ESLEV_ASSIGN_OR_RETURN(uint64_t count, header.GetU64());
 
+  BinaryDecoder body(frames.payloads[1]);
+  // An event is at least a length-prefixed stream name (4 bytes) and a
+  // tuple: schema marker, timestamp and arity (13 bytes).
+  ESLEV_RETURN_NOT_OK(body.CheckCount(count, 17, "binary trace event"));
   Workload workload;
   workload.events.reserve(count);
-  BinaryDecoder body(frames.payloads[1]);
   for (uint64_t i = 0; i < count; ++i) {
     ESLEV_ASSIGN_OR_RETURN(std::string stream, body.GetString());
     ESLEV_ASSIGN_OR_RETURN(Tuple decoded, body.GetTuple());

@@ -443,7 +443,35 @@ class Parser {
 
   // ---- expressions --------------------------------------------------------
 
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  // Recursion budget. Parentheses, NOT and unary signs each recurse
+  // through the expression grammar, so without a bound hostile input
+  // (say 20 000 nested parentheses) overflows the stack.
+  static constexpr int kMaxExprDepth = 256;
+
+  // Holds one level of the budget for the lifetime of a recursive call.
+  class DepthScope {
+   public:
+    explicit DepthScope(int* depth) : depth_(depth) { ++*depth_; }
+    ~DepthScope() { --*depth_; }
+    bool exceeded() const { return *depth_ > kMaxExprDepth; }
+
+   private:
+    int* depth_;
+  };
+
+  Status DepthError() const {
+    const Token& t = Peek();
+    return Status::Invalid("expression nesting exceeds " +
+                           std::to_string(kMaxExprDepth) + " levels (line " +
+                           std::to_string(t.line) + ", column " +
+                           std::to_string(t.column) + ")");
+  }
+
+  Result<ExprPtr> ParseExpr() {
+    DepthScope scope(&expr_depth_);
+    if (scope.exceeded()) return DepthError();
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
     const size_t start = pos_;
@@ -478,6 +506,8 @@ class Parser {
         return ParseExistsBody(/*negated=*/true, start);
       }
       Advance();
+      DepthScope scope(&expr_depth_);
+      if (scope.exceeded()) return DepthError();
       ESLEV_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
       ExprPtr out(new UnaryExpr(UnaryOp::kNot, std::move(e)));
       out->span = SpanFrom(start);
@@ -644,14 +674,17 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     const size_t start = pos_;
-    if (Match(TokenType::kMinus)) {
-      ESLEV_ASSIGN_OR_RETURN(ExprPtr e, ParseUnary());
-      ExprPtr out(new UnaryExpr(UnaryOp::kNeg, std::move(e)));
-      out->span = SpanFrom(start);
-      return out;
+    if (!Check(TokenType::kMinus) && !Check(TokenType::kPlus)) {
+      return ParsePrimary();
     }
+    DepthScope scope(&expr_depth_);
+    if (scope.exceeded()) return DepthError();
     if (Match(TokenType::kPlus)) return ParseUnary();
-    return ParsePrimary();
+    Advance();  // '-'
+    ESLEV_ASSIGN_OR_RETURN(ExprPtr e, ParseUnary());
+    ExprPtr out(new UnaryExpr(UnaryOp::kNeg, std::move(e)));
+    out->span = SpanFrom(start);
+    return out;
   }
 
   Result<ExprPtr> ParsePrimary() {
@@ -910,6 +943,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int expr_depth_ = 0;  // live ParseExpr / NOT / unary-sign recursion
 };
 
 }  // namespace

@@ -3,11 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
 
 namespace eslev {
+
+// Reaches into a shard's mailbox: posts a command without waiting for
+// it, and reads the queue's backlog.
+class ShardedEngineTestPeer {
+ public:
+  static void Post(ShardedEngine* engine, size_t shard,
+                   std::function<Status(Engine&)> fn) {
+    ShardedEngine::Item item;
+    item.kind = ShardedEngine::Item::Kind::kCommand;
+    item.command = std::move(fn);
+    engine->shards_[shard]->queue.Push(std::move(item));
+  }
+  static size_t Backlog(const ShardedEngine& engine, size_t shard) {
+    return engine.shards_[shard]->queue.ApproxSize();
+  }
+};
+
 namespace {
 
 constexpr const char* kReadingsDdl =
@@ -310,6 +329,78 @@ TEST(ShardedEngineTest, ConcurrentProducersKeepShardHistoriesOrdered) {
   // Merged drain is globally timestamp-ordered even under racing
   // producers (per-shard clamping + timestamp merge).
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+}
+
+TEST(ShardedEngineTest, MetricsReportBacklogBehindBusyWorker) {
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.engine.honor_batch_env = false;  // one queue item per tuple
+  ShardedEngine engine(options);
+  ASSERT_TRUE(engine.ExecuteScript(kReadingsDdl).ok());
+  ASSERT_TRUE(engine.SetSingleShard("readings").ok());  // all to shard 0
+
+  // Hold shard 0's worker until Metrics() queues its own command behind
+  // the backlog, i.e. until after Metrics() has sampled the depths.
+  constexpr size_t kBacklog = 5;
+  std::atomic<bool> holding{false};
+  ShardedEngineTestPeer::Post(&engine, 0, [&](Engine&) {
+    holding = true;
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(30);
+    while (ShardedEngineTestPeer::Backlog(engine, 0) <= kBacklog &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    return Status::OK();
+  });
+  while (!holding) std::this_thread::yield();
+  for (size_t i = 0; i < kBacklog; ++i) {
+    ASSERT_TRUE(PushReading(&engine, "rd", "tag" + std::to_string(i),
+                            Seconds(static_cast<int64_t>(i)))
+                    .ok());
+  }
+  auto snap = engine.Metrics();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->gauges.at("sharded.shard0.queue_depth"),
+            static_cast<int64_t>(kBacklog));
+  EXPECT_EQ(snap->gauges.at("sharded.shard1.queue_depth"), 0);
+  ASSERT_TRUE(engine.Flush().ok());
+  EXPECT_EQ(engine.shard_tuple_counts()[0], kBacklog);
+}
+
+TEST(ShardedEngineTest, LateTupleIsClampedToTheShardClock) {
+  // A tuple older than the shard clock is clamped forward, not rejected,
+  // and the shard clock never moves back.
+  ShardedEngineOptions options;
+  options.num_shards = 1;
+  ShardedEngine engine(options);
+  ASSERT_TRUE(engine.ExecuteScript(kReadingsDdl).ok());
+  std::vector<Timestamp> seen;
+  ASSERT_TRUE(engine
+                  .Subscribe("readings",
+                             [&](const Tuple& t) { seen.push_back(t.ts()); })
+                  .ok());
+  ASSERT_TRUE(PushReading(&engine, "rd", "x", Seconds(100)).ok());
+  ASSERT_TRUE(PushReading(&engine, "rd", "y", Seconds(1)).ok());
+  ASSERT_TRUE(engine.Flush().ok());
+  engine.DrainOutputs();
+  EXPECT_EQ(seen, (std::vector<Timestamp>{Seconds(100), Seconds(100)}));
+  auto clocks = engine.shard_clocks();
+  ASSERT_TRUE(clocks.ok()) << clocks.status();
+  EXPECT_EQ((*clocks)[0], Seconds(100));
+}
+
+TEST(ShardedEngineTest, StaleHeartbeatNeverMovesShardClockBack) {
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  ShardedEngine engine(options);
+  ASSERT_TRUE(engine.ExecuteScript(kReadingsDdl).ok());
+  ASSERT_TRUE(engine.AdvanceTime(Seconds(50)).ok());
+  ASSERT_TRUE(engine.AdvanceTime(Seconds(10)).ok());  // stale: no error
+  ASSERT_TRUE(engine.Flush().ok());
+  auto clocks = engine.shard_clocks();
+  ASSERT_TRUE(clocks.ok()) << clocks.status();
+  for (Timestamp clock : *clocks) EXPECT_EQ(clock, Seconds(50));
 }
 
 TEST(ShardedEngineTest, SingleShardDegeneratesGracefully) {

@@ -16,11 +16,16 @@
 #include <string>
 #include <vector>
 
-#include "cep/seq_backend.h"
+#include "cep/exception_seq_operator.h"
+#include "cep/seq_operator.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/sharded_engine.h"
+#include "plan/planner.h"
 #include "recovery/checkpoint.h"
+#include "recovery/codec.h"
 #include "replication/replicated_engine.h"
+#include "sql/parser.h"
 
 namespace eslev {
 namespace {
@@ -484,114 +489,85 @@ TEST_P(RecoveryDifferentialTest, PromoteExceptionSeqDeadlines) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));
 
-// ---- NFA backend: same sweeps, matcher state in the run tree ------------
+// ---- state blobs of the retired NFA matcher are rejected ----------------
 
-// Forces ESLEV_SEQ_BACKEND for a scope, restoring whatever was exported
-// before (the CI property legs pin the variable binary-wide; plain
-// unsetenv would strip the override from every later test).
-class ScopedBackendOverride {
- public:
-  explicit ScopedBackendOverride(SeqBackend backend) {
-    const char* prev = std::getenv(kSeqBackendEnvVar);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv(kSeqBackendEnvVar, SeqBackendToString(backend), /*overwrite=*/1);
-  }
-  ~ScopedBackendOverride() {
-    if (had_prev_) {
-      ::setenv(kSeqBackendEnvVar, prev_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(kSeqBackendEnvVar);
-    }
-  }
+// SEQ and EXCEPTION_SEQ state blobs begin with a tag byte: 0 for the
+// history matcher, 1 for the retired compiled-NFA matcher, whose blobs
+// had a different layout. A blob tagged 1 must restore to an IoError
+// rather than be misread; a blob tagged 0 restores in full.
+enum class SeqOperatorKind : int { kSeq = 0, kExceptionSeq = 1 };
+enum class StateTag : int { kHistory = 0, kRetiredNfa = 1 };
 
- private:
-  bool had_prev_ = false;
-  std::string prev_;
+class SeqCheckpointCompatibilityTest
+    : public ::testing::TestWithParam<std::tuple<SeqOperatorKind, StateTag>> {
 };
 
-TEST_P(RecoveryDifferentialTest, NfaBackendKillReplay) {
-  // Checkpoints on the NFA backend serialize the shared-prefix run tree
-  // (DESIGN.md §14); recovery must rebuild it so the tail of the trace
-  // completes exactly the matches the uninterrupted run produces.
-  ScopedBackendOverride backend(SeqBackend::kNfa);
-  ExpectKillReplayEquivalence(SeqScenario(" MODE CHRONICLE", ""),
-                              GetParam() + 601, 160, 4, "nfa_chronicle");
-  ExpectKillReplayEquivalence(SeqScenario(" MODE RECENT", ""),
-                              GetParam() + 607, 160, 4, "nfa_recent");
-  ExpectKillReplayEquivalence(StarScenario(), GetParam() + 613, 140, 3,
-                              "nfa_star");
-  ExpectKillReplayEquivalence(ExceptionScenario(), GetParam() + 619, 140, 4,
-                              "nfa_exception");
+// The planned SEQ-family operator of `plan`.
+Operator* SeqFamilyOperator(const PlannedQuery& plan) {
+  for (const auto& op : plan.operators) {
+    if (dynamic_cast<SeqOperator*>(op.get()) != nullptr ||
+        dynamic_cast<ExceptionSeqOperator*>(op.get()) != nullptr) {
+      return op.get();
+    }
+  }
+  return nullptr;
 }
-
-TEST_P(RecoveryDifferentialTest, NfaBackendPromote) {
-  // Kill a primary shard and promote its standby with the NFA backend on
-  // both sides of the failover.
-  ScopedBackendOverride backend(SeqBackend::kNfa);
-  ExpectKillPromoteEquivalence(SeqScenario(" MODE CHRONICLE", ""),
-                               GetParam() + 701, 120, 4, "nfa_pchronicle");
-  ExpectKillPromoteEquivalence(StarScenario(), GetParam() + 707, 120, 3,
-                               "nfa_pstar");
-}
-
-// ---- cross-backend checkpoints are rejected, never misread --------------
-
-// The two matchers serialize different state shapes under the same
-// operator ids. A checkpoint taken under one backend must be refused by
-// the other with an actionable error — silently decoding it as the
-// wrong shape would corrupt matcher state.
-class SeqCheckpointCompatibilityTest
-    : public ::testing::TestWithParam<std::tuple<SeqBackend, SeqBackend>> {};
 
 TEST_P(SeqCheckpointCompatibilityTest, CrossBackendRestoreRejected) {
-  const SeqBackend from = std::get<0>(GetParam());
-  const SeqBackend to = std::get<1>(GetParam());
-  const Scenario scenario = SeqScenario(" MODE CHRONICLE", "");
-  const auto events = MakeTrace(11, 60, scenario.streams, 3);
-  const std::string dir =
-      FreshDir(std::string("xbackend_") + SeqBackendToString(from) + "_" +
-               SeqBackendToString(to));
-  WalOptions wal_options;
-  wal_options.group_commit_bytes = 0;
-  {
-    ScopedBackendOverride backend(from);
-    Engine a;
-    ASSERT_TRUE(a.ExecuteScript(scenario.ddl).ok());
-    ASSERT_TRUE(a.RegisterQuery(scenario.query).ok());
-    ASSERT_TRUE(a.EnableWal(dir + "/" + kWalFileName, wal_options).ok());
-    for (const Event& e : events) PushEvent(a, e);
-    ASSERT_TRUE(a.Checkpoint(dir).ok());
+  const auto [kind, tag] = GetParam();
+  const Scenario scenario = kind == SeqOperatorKind::kSeq
+                                ? SeqScenario(" MODE CHRONICLE", "")
+                                : ExceptionScenario();
+  Engine catalog;
+  ASSERT_TRUE(catalog.ExecuteScript(scenario.ddl).ok());
+  auto stmt = ParseStatement(scenario.query);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  Planner planner(&catalog);
+  auto source_plan = planner.Plan(**stmt);
+  auto target_plan = planner.Plan(**stmt);
+  ASSERT_TRUE(source_plan.ok()) << source_plan.status();
+  ASSERT_TRUE(target_plan.ok()) << target_plan.status();
+  Operator* source = SeqFamilyOperator(*source_plan);
+  Operator* target = SeqFamilyOperator(*target_plan);
+  ASSERT_NE(source, nullptr);
+  ASSERT_NE(target, nullptr);
+
+  // Leave state behind: feed a trace straight into the operator's ports.
+  for (const Event& e : MakeTrace(11, 60, scenario.streams, 3)) {
+    for (const auto& sub : source_plan->subscriptions) {
+      if (AsciiToLower(sub.stream->name()) != AsciiToLower(e.stream)) continue;
+      auto t = MakeTuple(sub.stream->schema(),
+                         {Value::String("r"), Value::String(e.tag),
+                          Value::Time(e.ts)},
+                         e.ts);
+      ASSERT_TRUE(t.ok()) << t.status();
+      ASSERT_TRUE(source->OnTuple(sub.port, *t).ok());
+    }
   }
-  ScopedBackendOverride backend(to);
-  Engine b;
-  ASSERT_TRUE(b.ExecuteScript(scenario.ddl).ok());
-  ASSERT_TRUE(b.RegisterQuery(scenario.query).ok());
-  const Status restored = b.RecoverFrom(dir);
-  if (from == to) {
+  BinaryEncoder enc;
+  ASSERT_TRUE(source->SaveState(&enc).ok());
+  std::string blob = enc.buffer();
+  ASSERT_FALSE(blob.empty());
+  EXPECT_EQ(blob[0], 0) << "history state blobs are tagged 0";
+  blob[0] = static_cast<char>(tag);
+
+  BinaryDecoder dec(blob);
+  const Status restored = target->RestoreState(&dec);
+  if (tag == StateTag::kHistory) {
     EXPECT_TRUE(restored.ok()) << restored;
+    EXPECT_TRUE(dec.AtEnd());
   } else {
-    ASSERT_FALSE(restored.ok())
-        << "a " << SeqBackendToString(from)
-        << " checkpoint must not restore under "
-        << SeqBackendToString(to);
-    // The error tells the operator how to get the state back.
-    EXPECT_NE(restored.message().find(kSeqBackendEnvVar), std::string::npos)
-        << restored;
-    EXPECT_NE(restored.message().find(SeqBackendToString(from)),
-              std::string::npos)
-        << restored;
+    EXPECT_TRUE(restored.IsIoError()) << restored;
+    EXPECT_NE(restored.message().find("NFA"), std::string::npos) << restored;
   }
-  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Directions, SeqCheckpointCompatibilityTest,
-    ::testing::Values(
-        std::make_tuple(SeqBackend::kHistory, SeqBackend::kNfa),
-        std::make_tuple(SeqBackend::kNfa, SeqBackend::kHistory),
-        std::make_tuple(SeqBackend::kHistory, SeqBackend::kHistory),
-        std::make_tuple(SeqBackend::kNfa, SeqBackend::kNfa)));
+    ::testing::Combine(::testing::Values(SeqOperatorKind::kSeq,
+                                         SeqOperatorKind::kExceptionSeq),
+                       ::testing::Values(StateTag::kHistory,
+                                         StateTag::kRetiredNfa)));
 
 }  // namespace
 }  // namespace eslev

@@ -219,5 +219,37 @@ TEST(FileIoTest, MissingFileIsIoError) {
                   .IsIoError());
 }
 
+// Bounded allocation: a CRC-valid frame whose payload claims a huge
+// count must decode to an IoError before anything is reserved for it.
+std::string FramedPayload(const BinaryEncoder& enc) {
+  std::string frame;
+  AppendFrame(enc.buffer(), &frame);
+  auto scan = ScanFrames(frame.data(), frame.size());
+  EXPECT_TRUE(scan.ok() && scan->payloads.size() == 1);
+  return scan.ok() ? scan->payloads.at(0) : std::string();
+}
+
+TEST(BinaryCodecTest, HugeSchemaFieldCountIsAnError) {
+  BinaryEncoder enc;
+  enc.PutU8(0);            // inline schema
+  enc.PutU32(0xFFFFFFFFu);  // field count
+  enc.PutString("f");
+  enc.PutU8(0);
+  const std::string payload = FramedPayload(enc);
+  BinaryDecoder dec(payload);
+  EXPECT_TRUE(dec.GetSchema().status().IsIoError());
+}
+
+TEST(BinaryCodecTest, HugeTupleArityIsAnError) {
+  BinaryEncoder enc;
+  enc.PutSchema(nullptr);
+  enc.PutI64(5);           // timestamp
+  enc.PutU32(0xFFFFFFF0u);  // arity
+  enc.PutValue(Value::Int(1));
+  const std::string payload = FramedPayload(enc);
+  BinaryDecoder dec(payload);
+  EXPECT_TRUE(dec.GetTuple().status().IsIoError());
+}
+
 }  // namespace
 }  // namespace eslev

@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <string>
 
+#include "recovery/checkpoint.h"
+#include "recovery/codec.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -432,6 +434,17 @@ TEST_F(WalTest, DestructorFlushesPending) {
   auto read = ReadWal(path_);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->records.size(), 1u);
+}
+
+TEST_F(WalTest, HugeManifestSegmentCountIsAnError) {
+  BinaryEncoder body;
+  body.PutU64(2);            // next segment id
+  body.PutU32(0x7FFFFFFFu);  // segment count
+  std::string bytes;
+  AppendFrame(EncodeCheckpointHeader(), &bytes);
+  AppendFrame(body.buffer(), &bytes);
+  ASSERT_TRUE(WriteFileAtomic(WalManifestPath(path_), bytes).ok());
+  EXPECT_TRUE(ReadWalManifest(path_).status().IsIoError());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "recovery/codec.h"
+
 namespace eslev {
 namespace rfid {
 namespace {
@@ -188,6 +190,42 @@ TEST_F(TraceIoTest, BinaryErrors) {
     std::ofstream out(path_, std::ios::trunc | std::ios::binary);
     out << "definitely not frames";
   }
+  EXPECT_TRUE(LoadTraceBinary(path_, {{"s", one}}).status().IsIoError());
+}
+
+TEST_F(TraceIoTest, HugeBinaryEventCountIsAnError) {
+  Workload w;
+  w.events.push_back({"s",
+                      Tuple(Schema::Make({{"v", TypeId::kInt64}}),
+                            {Value::Int(1)}, 5)});
+  ASSERT_TRUE(SaveTraceBinary(w, path_).ok());
+  // Rewrite the header frame with a huge event count; both frames stay
+  // CRC-valid, so only the count check stands between it and reserve().
+  std::string bytes;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  auto frames = ScanFrames(bytes.data(), bytes.size());
+  ASSERT_TRUE(frames.ok());
+  ASSERT_EQ(frames->payloads.size(), 2u);
+  BinaryDecoder header(frames->payloads[0]);
+  auto magic = header.GetString();
+  auto version = header.GetU32();
+  ASSERT_TRUE(magic.ok() && version.ok());
+  BinaryEncoder forged;
+  forged.PutString(*magic);
+  forged.PutU32(*version);
+  forged.PutU64(uint64_t{1} << 60);
+  std::string file;
+  AppendFrame(forged.buffer(), &file);
+  AppendFrame(frames->payloads[1], &file);
+  {
+    std::ofstream out(path_, std::ios::trunc | std::ios::binary);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+  auto one = Schema::Make({{"v", TypeId::kInt64}});
   EXPECT_TRUE(LoadTraceBinary(path_, {{"s", one}}).status().IsIoError());
 }
 

@@ -556,5 +556,24 @@ TEST(ParserSpanTest, BetweenLoweringKeepsConstructSpan) {
   EXPECT_EQ(conj.rhs->span.length, 19u);
 }
 
+TEST(ParserTest, DeepNestingIsRejectedNotAStackOverflow) {
+  constexpr int kDepth = 20000;
+  const std::string nested =
+      std::string(kDepth, '(') + "1" + std::string(kDepth, ')');
+  auto deep = ParseStatement("SELECT * FROM s WHERE a = " + nested);
+  ASSERT_FALSE(deep.ok());
+  EXPECT_TRUE(deep.status().IsInvalid()) << deep.status();
+  std::string signs;
+  std::string nots;
+  for (int i = 0; i < kDepth; ++i) {
+    signs += "- ";  // spaced: "--" would open a comment
+    nots += "NOT ";
+  }
+  EXPECT_TRUE(ParseExpression(signs + "1").status().IsInvalid());
+  EXPECT_TRUE(ParseExpression(nots + "b = 2").status().IsInvalid());
+  // Ordinary nesting stays well inside the budget.
+  EXPECT_TRUE(ParseExpression("((((((((a + 1))))))))").ok());
+}
+
 }  // namespace
 }  // namespace eslev
