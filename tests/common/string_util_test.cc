@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace eslev {
 namespace {
 
@@ -57,6 +59,14 @@ struct LikeCase {
   const char* pattern;
   bool match;
 };
+
+// Names each instantiated case after its strings. Without this gtest
+// prints the struct as raw bytes, which include the literals' addresses,
+// so the registered ctest names changed from one build to the next.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' is "
+      << (c.match ? "true" : "false");
+}
 
 class LikeMatchTest : public ::testing::TestWithParam<LikeCase> {};
 

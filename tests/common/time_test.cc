@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace eslev {
 namespace {
 
@@ -19,6 +21,12 @@ struct UnitCase {
   const char* name;
   Duration expected;
 };
+
+// Names each instantiated case after its unit; see LikeCase in
+// string_util_test.cc for why the default byte dump is avoided.
+void PrintTo(const UnitCase& c, std::ostream* os) {
+  *os << "'" << c.name << "' is " << c.expected << "us";
+}
 
 class ParseTimeUnitTest : public ::testing::TestWithParam<UnitCase> {};
 
